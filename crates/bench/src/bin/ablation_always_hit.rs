@@ -14,9 +14,9 @@ use serde::Serialize;
 use unison_bench::shadow::ShadowMissPredictor;
 use unison_bench::table::pct;
 use unison_bench::{table5_size, BenchOpts, Table};
-use unison_core::{DramCacheModel, UnisonCache, UnisonConfig};
-use unison_sim::System;
-use unison_trace::{workloads, WorkloadGen, WorkloadSpec};
+use unison_core::{UnisonCache, UnisonConfig};
+use unison_sim::{CellSim, Design};
+use unison_trace::{workloads, WorkloadSpec};
 
 #[derive(Serialize)]
 struct Row {
@@ -32,29 +32,16 @@ fn run_cell(opts: &BenchOpts, w: &WorkloadSpec) -> Row {
     let cache = ShadowMissPredictor::new(UnisonCache::new(
         UnisonConfig::new(scaled_cache).with_nominal(nominal),
     ));
-    let sys_spec = opts.cfg.system;
-    let mut sys = System::new(
-        sys_spec.resolved_cores(w) as usize,
-        cache,
-        sys_spec.mem_ports(),
-        sys_spec.core,
-    );
-    let mut trace = WorkloadGen::new(
-        sys_spec.effective_workload(w).scaled(opts.cfg.scale),
-        opts.cfg.seed,
-    );
-    let total = opts.cfg.accesses_for(scaled_cache);
-    let warm = (total as f64 * opts.cfg.warmup_fraction) as u64;
-    sys.run(&mut trace, warm);
-    sys.reset_measurement();
-    sys.run(&mut trace, total - warm);
-    let hit_ratio = 1.0 - sys.cache().stats().miss_ratio();
-    let (cache, _) = sys.into_parts();
+    let live = opts.cfg.trace_plan(w, nominal).live(opts.cfg.seed);
+    let mut sim = CellSim::with_cache(cache, Design::Unison, nominal, w, &opts.cfg, &live);
+    sim.step(u64::MAX);
+    let dynamic_map_i_accuracy = sim.cache().shadow_accuracy();
+    let hit_ratio = 1.0 - sim.into_result().cache.miss_ratio();
     Row {
         workload: w.name.to_string(),
         hit_ratio,
         static_always_hit_accuracy: hit_ratio,
-        dynamic_map_i_accuracy: cache.shadow_accuracy(),
+        dynamic_map_i_accuracy,
     }
 }
 

@@ -5,17 +5,16 @@
 //! serializing tags before data (latency). The paper quantifies the win
 //! as ~12 cycles of hit latency (20%) and a 4x reduction in hit traffic.
 //!
-//! The cells are custom (a `WayPolicy` is not a [`unison_sim::Design`]),
-//! so they run through the harness's generic parallel map rather than an
-//! [`ScenarioGrid`]: declared up front, executed concurrently, rendered
-//! in declaration order.
+//! Each cell is plain Unison Cache with the way policy set on the
+//! system spec. The cells run through the harness's generic parallel
+//! map: declared up front, executed concurrently, rendered in
+//! declaration order.
 
 use serde::Serialize;
 use unison_bench::{BenchOpts, Table};
 use unison_core::unison::WayPolicy;
-use unison_core::{DramCacheModel, UnisonCache, UnisonConfig};
-use unison_sim::System;
-use unison_trace::{workloads, WorkloadGen, WorkloadSpec};
+use unison_sim::{run_experiment, Design};
+use unison_trace::{workloads, WorkloadSpec};
 
 #[derive(Serialize)]
 struct Row {
@@ -33,41 +32,17 @@ const POLICIES: [(WayPolicy, &str); 3] = [
 ];
 
 fn run_cell(opts: &BenchOpts, w: &WorkloadSpec, policy: WayPolicy, label: &str) -> Row {
-    let scaled_cache = opts.cfg.scaled_cache_bytes(1 << 30);
-    let cache = UnisonCache::new(
-        UnisonConfig::new(scaled_cache)
-            .with_way_policy(policy)
-            .with_nominal(1 << 30),
-    );
-    let sys_spec = opts.cfg.system;
-    let mut sys = System::new(
-        sys_spec.resolved_cores(w) as usize,
-        cache,
-        sys_spec.mem_ports(),
-        sys_spec.core,
-    );
-    let mut trace = WorkloadGen::new(
-        sys_spec.effective_workload(w).scaled(opts.cfg.scale),
-        opts.cfg.seed,
-    );
-    let total = opts.cfg.accesses_for(scaled_cache);
-    let warm = (total as f64 * opts.cfg.warmup_fraction) as u64;
-    sys.run(&mut trace, warm);
-    let before = sys.progress();
-    sys.reset_measurement();
-    sys.run(&mut trace, total - warm);
-    let after = sys.progress();
-    let stats = *sys.cache().stats();
-    let lat_cy = stats.mean_latency_ps() * 3.0 / 1000.0;
-    let rd_per_acc = stats.stacked_read_bytes as f64 / stats.accesses.max(1) as f64;
-    let instr = after.instructions - before.instructions;
-    let cyc = (after.elapsed_ps - before.elapsed_ps).max(1) as f64 * 3.0 / 1000.0;
+    let mut cfg = opts.cfg;
+    cfg.system.way_policy = Some(policy);
+    let r = run_experiment(Design::Unison, 1 << 30, w, &cfg);
+    let stats = r.cache;
     Row {
         policy: label.to_string(),
         workload: w.name.to_string(),
-        mean_latency_cycles: lat_cy,
-        stacked_read_bytes_per_access: rd_per_acc,
-        uipc: instr as f64 / cyc,
+        mean_latency_cycles: stats.mean_latency_ps() * 3.0 / 1000.0,
+        stacked_read_bytes_per_access: stats.stacked_read_bytes as f64
+            / stats.accesses.max(1) as f64,
+        uipc: r.uipc,
     }
 }
 

@@ -19,9 +19,8 @@
 //!   geomean speedups the cells produced (so a perf regression that
 //!   changes *results* is visible next to one that changes *speed*).
 //!
-//! The campaign runs under cost-model LPT scheduling (longest cells
-//! first, ordered by the structural prior) and the report's
-//! `scheduling` block compares the blind `key % N` shard split against
+//! The campaign runs with a structural-prior cost model loaded, and the
+//! report's `scheduling` block compares the blind `key % N` shard split against
 //! the cost-balanced partition on the measured cell times.
 //!
 //! The output lands in `BENCH_<label>.json` (override with `--out`).
@@ -260,9 +259,8 @@ fn run_campaign(opts: &BenchOpts) -> CampaignReport {
         .designs(designs)
         .workloads(grid_workloads.clone())
         .sizes([size]);
-    // An empty model schedules on the structural prior, so the campaign
-    // runs its long cells (Unison) first — the same longest-first order
-    // a first-ever `sweep --costs` run uses.
+    // An empty model predicts from the structural prior, as a
+    // first-ever `sweep --costs` run does.
     let results = opts.campaign().costs(CostModel::new()).run_speedups(&grid);
     let summary = results.summary();
 

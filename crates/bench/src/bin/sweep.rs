@@ -46,8 +46,7 @@
 //!
 //! **Adaptive scheduling.** `--costs FILE` loads a per-cell cost model
 //! (learned wall times with a structural prior for never-seen cells)
-//! that orders cells longest-first inside a run and, with
-//! `--partition balanced`, replaces the blind `key % N` worker split
+//! that weights progress ETAs and, with `--partition balanced`, replaces the blind `key % N` worker split
 //! with deterministic LPT bin-packing so every shard finishes at about
 //! the same time. Scheduling never changes output: canonical results
 //! stay byte-identical. A complete run folds its measured wall times
@@ -63,9 +62,8 @@ use unison_core::WayPolicy;
 use unison_dram::DramPreset;
 use unison_harness::telemetry::fmt_ns;
 use unison_harness::{
-    merge_shards, orchestrator, BalancedExecutor, CampaignResult, CellKey, CostModel,
-    OrchestrateOutcome, OrchestratorConfig, ScenarioGrid, ShardOutput, ShardSpec, TaskPlan,
-    WorkerLaunch,
+    merge_shards, orchestrator, Assignment, CampaignResult, CellKey, CostModel, OrchestrateOutcome,
+    OrchestratorConfig, ScenarioGrid, ShardOutput, ShardSpec, TaskPlan, WorkerLaunch,
 };
 use unison_sim::{scenarios_from_json, Design, Scenario, SystemSpec};
 use unison_trace::{workloads, WorkloadSpec};
@@ -132,7 +130,7 @@ fn fail(msg: &str) -> ! {
     eprintln!("  --partition hash|balanced  how cells map to shard workers: the blind key-hash");
     eprintln!("                        split (default) or cost-model LPT bin-packing, which");
     eprintln!("                        evens out shard wall times without changing any output");
-    eprintln!("  --costs FILE  per-cell cost model (costs.json): schedules cells longest-first");
+    eprintln!("  --costs FILE  per-cell cost model (costs.json): weights progress ETAs");
     eprintln!("                and shapes balanced partitions; created on first use and updated");
     eprintln!("                with fresh wall times after a complete run");
     eprintln!("  --list        print every valid design, preset, policy, and workload");
@@ -495,7 +493,7 @@ fn run_shard(opts: &BenchOpts, sweep: &SweepArgs, grid: &ScenarioGrid, shard: Sh
                 .unwrap_or_default()
                 .partition(&plan, opts.cfg.accesses, shard.count);
             let bin = bins.get(shard.index as usize).cloned().unwrap_or_default();
-            campaign.run_plan(grid, speedups, &BalancedExecutor::new(shard, bin))
+            campaign.run_plan(grid, speedups, &Assignment::Explicit(shard, bin))
         }
     };
     let executed = out.cells.len() - out.resumed_cells;

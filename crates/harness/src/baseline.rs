@@ -11,12 +11,10 @@ use std::collections::HashMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 
-use unison_sim::{
-    run_baseline, run_experiment_with_source, Design, RunResult, SimConfig, SystemSpec, TraceSource,
-};
+use unison_sim::{CellSim, RunResult, SimConfig, SystemSpec};
 use unison_trace::WorkloadSpec;
 
-use crate::trace_store::TraceStore;
+use crate::trace_store::{artifact_for, TraceStore};
 
 /// Memo key: (serialized workload spec, serialized system spec, seed).
 type BaselineKey = (String, String, u64);
@@ -105,20 +103,9 @@ impl BaselineStore {
             let mut cfg = self.cfg;
             cfg.seed = seed;
             cfg.system = *system;
-            match &self.traces {
-                Some(traces) => {
-                    let plan = cfg.trace_plan(spec, 0);
-                    let artifact = traces.get(&plan.scaled_spec, seed, plan.frozen_len);
-                    run_experiment_with_source(
-                        Design::NoCache,
-                        0,
-                        spec,
-                        &cfg,
-                        TraceSource::Replay(&artifact),
-                    )
-                }
-                None => run_baseline(spec, &cfg),
-            }
+            let plan = cfg.trace_plan(spec, 0);
+            let artifact = artifact_for(self.traces.as_deref(), &plan, seed);
+            CellSim::baseline(spec, &cfg, &artifact).finish()
         });
         if !ran_here {
             self.hits.fetch_add(1, Ordering::Relaxed);

@@ -22,13 +22,11 @@
 //!   auto-discovers and refreshes one in its scratch dir so every run
 //!   partitions on what the previous run measured.
 //!
-//! Consumers: the default [`Executor`](crate::Executor) sorts work
-//! longest-first (LPT) so the most expensive cell starts first and the
-//! tail of the pool drains through cheap cells; the orchestrator's
-//! `--partition balanced` mode bin-packs cells onto workers with
-//! [`partition_balanced`]. Both are pure functions of (plan, model), so
-//! parent and shard workers reading the same `costs.json` compute
-//! identical assignments in separate processes. Scheduling order is
+//! Consumers: the progress reporter weights its ETA by predicted cost,
+//! and the orchestrator's `--partition balanced` mode bin-packs cells
+//! onto workers with [`partition_balanced`] — a pure function of (plan,
+//! model), so parent and shard workers reading the same `costs.json`
+//! compute identical assignments in separate processes. Partitioning is
 //! observability-neutral: results are re-sorted to plan order and
 //! byte-identity of canonical output is pinned by tests.
 
@@ -358,7 +356,7 @@ pub fn imbalance_ratio(loads: &[u64]) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::scheduler::{CellKey, Executor, ShardSpec, ShardedExecutor};
+    use crate::scheduler::{Assignment, CellKey, ShardSpec};
     use crate::ScenarioGrid;
     use proptest::prelude::*;
     use unison_sim::{Design, SimConfig};
@@ -550,8 +548,8 @@ mod tests {
         // And the hash partition covers the same universe.
         let hash_all: usize = (0..2)
             .map(|i| {
-                ShardedExecutor::new(ShardSpec::new(i, 2).unwrap())
-                    .assigned(&plan)
+                Assignment::Hash(ShardSpec::new(i, 2).unwrap())
+                    .cells(&plan)
                     .len()
             })
             .sum();

@@ -519,7 +519,7 @@ pub fn merge_shards(outputs: Vec<ShardOutput>) -> Result<CampaignResult, String>
 mod tests {
     use super::*;
     use crate::grid::ScenarioGrid;
-    use crate::scheduler::{InProcessExecutor, ShardSpec, ShardedExecutor};
+    use crate::scheduler::{Assignment, ShardSpec};
     use crate::Campaign;
     use unison_sim::{Design, SimConfig};
     use unison_trace::workloads;
@@ -702,7 +702,7 @@ mod tests {
             Campaign::new(cfg).threads(1).run_plan(
                 &g,
                 true,
-                &ShardedExecutor::new(ShardSpec::new(i, 2).unwrap()),
+                &Assignment::Hash(ShardSpec::new(i, 2).unwrap()),
             )
         };
         let a = shard(0);
@@ -730,7 +730,7 @@ mod tests {
         let foreign = Campaign::new(other_cfg).threads(1).run_plan(
             &g,
             true,
-            &ShardedExecutor::new(ShardSpec::new(1, 2).unwrap()),
+            &Assignment::Hash(ShardSpec::new(1, 2).unwrap()),
         );
         let err = merge_shards(vec![a.clone(), foreign]).unwrap_err();
         assert!(err.contains("fingerprint"), "{err}");
@@ -752,7 +752,7 @@ mod tests {
         let g = grid();
         let out = Campaign::new(cfg)
             .threads(1)
-            .run_plan(&g, false, &InProcessExecutor);
+            .run_plan(&g, false, &Assignment::All);
         assert_eq!(out.shard_count, 1);
         assert_eq!(out.cells.len(), out.total_cells);
         let r = out.into_campaign_result().unwrap();

@@ -29,12 +29,14 @@
 //!   [`Campaign::traces`]`(`[`TracePolicy::Generate`]`)`.
 //! * [`CampaignResult`] — typed result set with lookup helpers,
 //!   [`stats::geomean`] reductions, and JSON/CSV sinks ([`sink`]).
-//! * [`TaskPlan`] / [`Executor`] ([`scheduler`]) — the grid lowers to an
-//!   explicit task plan (trace prefills → baselines → cells, each cell
-//!   keyed by a stable [`CellKey`]); executors run it in-process or as a
-//!   deterministic `--shard I/N` partition ([`ShardedExecutor`]), and
-//!   [`merge_shards`] reassembles a complete set of [`ShardOutput`]s
-//!   bit-identically to the single-process run.
+//! * [`TaskPlan`] / [`Assignment`] ([`scheduler`]) — the grid lowers to
+//!   an explicit task plan (trace prefills → baselines → cells, each cell
+//!   keyed by a stable [`CellKey`]); an assignment names the cells one
+//!   process runs (all, the deterministic `--shard I/N` hash partition,
+//!   or an explicit cost-balanced bin), [`Campaign::run_plan`] runs them
+//!   through the batched cell engine, and [`merge_shards`] reassembles a
+//!   complete set of [`ShardOutput`]s bit-identically to the
+//!   single-process run.
 //! * [`Journal`] ([`journal`]) — append-only JSONL checkpoint of
 //!   completed cells; `Campaign::journal(path).resume(true)` restores
 //!   the completed prefix after an interruption and runs only the rest,
@@ -49,11 +51,11 @@
 //!   stripped).
 //! * [`CostModel`] ([`costs`]) — per-cell cost estimates learned from
 //!   prior journals and shard outputs (with a structural prior for
-//!   never-seen cells), persisted as `costs.json`. Drives LPT
-//!   longest-first ordering in the in-process executor and the
-//!   orchestrator's `--partition balanced` LPT bin-packing of cells
-//!   onto workers, replacing the blind `key % N` split — scheduling
-//!   only, never identity: canonical output stays byte-identical.
+//!   never-seen cells), persisted as `costs.json`. Drives cost-weighted
+//!   progress ETAs and the orchestrator's `--partition balanced` LPT
+//!   bin-packing of cells onto workers, replacing the blind `key % N`
+//!   split — scheduling only, never identity: canonical output stays
+//!   byte-identical.
 //! * [`orchestrator`] — the fault-tolerant campaign supervisor behind
 //!   `sweep --orchestrate N`: journaled shard worker processes,
 //!   crash-restart under bounded exponential backoff, repeat-offender
@@ -67,11 +69,11 @@
 //! # Example
 //!
 //! ```
-//! use unison_harness::{Campaign, ExperimentGrid};
+//! use unison_harness::{Campaign, ScenarioGrid};
 //! use unison_sim::{Design, SimConfig};
 //! use unison_trace::workloads;
 //!
-//! let grid = ExperimentGrid::new()
+//! let grid = ScenarioGrid::new()
 //!     .designs([Design::Unison, Design::Ideal])
 //!     .workloads([workloads::web_search()])
 //!     .sizes([256 << 20]);
@@ -105,7 +107,7 @@ pub use baseline::BaselineStore;
 pub use campaign::{Campaign, CampaignResult, CampaignSummary, CellResult, TracePolicy};
 pub use costs::CostModel;
 pub use errors::{FileError, IoContext};
-pub use grid::{Cell, ExperimentGrid, ScenarioGrid};
+pub use grid::{Cell, ScenarioGrid};
 pub use journal::{merge_shards, IndexedCell, Journal, ShardOutput};
 pub use orchestrator::{
     CampaignManifest, OrchestrateOutcome, OrchestratorConfig, QuarantinedCell, WorkerLaunch,
@@ -115,9 +117,6 @@ pub use progress::{
     CounterSnapshot, FleetProgress, ProgressConfig, ProgressMode, ProgressReporter, WorkerPhase,
     WorkerSample,
 };
-pub use scheduler::{
-    plan_batches, BalancedExecutor, BatchRunner, CellKey, ExecHooks, Executor, InProcessExecutor,
-    PlannedCell, ShardSpec, ShardedExecutor, TaskPlan,
-};
+pub use scheduler::{plan_batches, Assignment, CellKey, PlannedCell, ShardSpec, TaskPlan};
 pub use telemetry::{CampaignTiming, Clock, MockClock, MonotonicClock, Phase, Telemetry};
 pub use trace_store::TraceStore;

@@ -42,7 +42,7 @@ use crate::errors::IoContext;
 use crate::fault;
 use crate::journal::{merge_shards, IndexedCell, Journal, ShardOutput};
 use crate::progress::{FleetProgress, ProgressConfig, WorkerPhase, WorkerSample};
-use crate::scheduler::{Executor, ShardSpec, ShardedExecutor, TaskPlan};
+use crate::scheduler::{Assignment, ShardSpec, TaskPlan};
 use crate::telemetry::CampaignTiming;
 
 /// Supervision policy for one orchestrated campaign.
@@ -325,7 +325,7 @@ pub fn run(
                 shard,
                 assigned: match &cfg.assignments {
                     Some(bins) => bins.get(i as usize).cloned().unwrap_or_default(),
-                    None => ShardedExecutor::new(shard).assigned(plan),
+                    None => Assignment::Hash(shard).cells(plan),
                 },
                 paths,
                 phase: Phase::Idle,

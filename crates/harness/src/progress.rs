@@ -230,8 +230,8 @@ impl ProgressReporter {
     /// run. With it, [`ProgressReporter::event`] weights the remaining
     /// work by predicted cost (each [`ProgressReporter::on_cell`] then
     /// supplies that cell's prediction) instead of assuming every
-    /// remaining cell costs the running mean — under LPT ordering the
-    /// tail is the cheap cells, and the running-mean ETA overshoots.
+    /// remaining cell costs the running mean — when the cells left are
+    /// cheaper than those done, the running-mean ETA overshoots.
     pub fn with_predicted_work(mut self, total_ns: u64) -> Self {
         self.predicted_total_ns = Some(total_ns);
         self
@@ -322,9 +322,9 @@ impl ProgressReporter {
         // ETA. With a cost model loaded, the remaining work is weighted
         // by predicted cost, calibrated by the observed/predicted ratio
         // so far (a mis-scaled prior still orders cells correctly but
-        // would skew absolute ETAs): under LPT ordering the remaining
-        // cells are the cheap ones, and pretending they cost the
-        // running mean overestimates the tail. Without a model, assume
+        // would skew absolute ETAs): when the remaining cells are the
+        // cheap ones, pretending they cost the running mean
+        // overestimates the tail. Without a model, assume
         // the remaining cells cost the running mean and the pool drains
         // them in ceil(remaining / threads) waves of one mean each.
         // Flooring the division instead would underestimate the tail —
@@ -615,7 +615,7 @@ mod tests {
         assert_eq!(e.eta_ns, 8 * SEC);
     }
 
-    /// Under LPT the tail is cheap cells: with a cost model loaded the
+    /// When the tail is cheap cells, with a cost model loaded the
     /// ETA must weight remaining work by predicted cost, not claim
     /// whole waves of the (expensive-cell-dominated) running mean.
     #[test]

@@ -1,24 +1,23 @@
-//! The campaign planner/executor layer.
+//! The campaign planner and cell assignment.
 //!
 //! [`TaskPlan::lower`] turns a declarative [`ScenarioGrid`] into an
 //! explicit task plan: trace-prefill tasks, baseline tasks, and cell
 //! tasks with their dependencies resolved, each cell keyed by a stable
-//! [`CellKey`] derived from the serialized specs. Execution is behind
-//! the [`Executor`] trait — [`InProcessExecutor`] runs the whole plan on
-//! the worker pool (the historical behaviour), and [`ShardedExecutor`]
-//! runs the deterministic `--shard I/N` partition of it, so N machines
-//! can split one campaign and later [`merge_shards`] the pieces into an
-//! output bit-identical to the single-process run.
+//! [`CellKey`] derived from the serialized specs. An [`Assignment`]
+//! names which cells one process runs — all of them, the deterministic
+//! `--shard I/N` hash partition, or an explicit cost-balanced bin — so N
+//! machines can split one campaign and later [`merge_shards`] the pieces
+//! into an output bit-identical to the single-process run.
 //!
-//! The plan, not the executor, is the source of truth for *what* runs:
-//! every executor sees the same cell indices, keys, and dependency
-//! edges, so any subset of cells — a shard, or the remainder after a
-//! `--resume` restored the journaled prefix — simulates bit-identically
-//! to the same cells inside a full run.
+//! The plan, not the assignment, is the source of truth for *what*
+//! runs: every assignment sees the same cell indices, keys, and
+//! dependency edges, so any subset of cells — a shard, or the remainder
+//! after a `--resume` restored the journaled prefix — simulates
+//! bit-identically to the same cells inside a full run.
 //!
 //! [`merge_shards`]: crate::journal::merge_shards
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 
 use unison_sim::{SimConfig, SystemSpec};
 use unison_trace::{Fnv1a, WorkloadSpec};
@@ -315,44 +314,6 @@ impl TaskPlan {
     }
 }
 
-/// A closure running one trace-sharing batch of cells, returning one
-/// result per cell in batch order (see [`ExecHooks::run_batch`]).
-pub type BatchRunner<'a> = dyn Fn(&[&PlannedCell]) -> Vec<CellResult> + Sync + 'a;
-
-/// Everything an executor needs besides the plan: the worker-pool
-/// width, the set of plan indices already satisfied (restored from a
-/// resume journal), the cell-running closure (baseline store and trace
-/// store already wired in by the campaign), and a completion observer
-/// invoked on the coordinating thread in completion order (journal
-/// appends, progress lines).
-pub struct ExecHooks<'a> {
-    /// Worker-pool width (`1` = inline serial execution).
-    pub threads: usize,
-    /// Plan indices to skip (already completed in a previous run).
-    pub skip: &'a HashSet<usize>,
-    /// Runs one cell task to completion.
-    pub run: &'a (dyn Fn(&PlannedCell) -> CellResult + Sync),
-    /// Runs a whole trace-sharing batch of cell tasks, returning one
-    /// result per cell in batch order. When set, execution routes every
-    /// cell through [`plan_batches`] groups instead of [`ExecHooks::run`]
-    /// — the campaign installs this when trace sharing is enabled, so
-    /// cells replaying the same artifact interleave over one streaming
-    /// pass of its bytes. Results must be (and are, pinned by the
-    /// batching identity tests) bit-identical to per-cell execution.
-    pub run_batch: Option<&'a BatchRunner<'a>>,
-    /// Observes each completion, on the coordinating thread, in
-    /// completion (not grid) order.
-    pub observe: &'a mut dyn FnMut(&PlannedCell, &CellResult),
-    /// Predicted wall time (ns) per plan index, present when the
-    /// campaign has a [`CostModel`](crate::CostModel) loaded. Executors
-    /// schedule work longest-first (LPT) under it, so the most
-    /// expensive cell starts immediately and the pool's final wave
-    /// drains through cheap cells instead of stalling on a straggler.
-    /// Scheduling only: results are returned in plan order either way,
-    /// and canonical output stays byte-identical.
-    pub cost: Option<&'a [u64]>,
-}
-
 /// Groups `indices` (plan indices, ascending) into trace-sharing batches:
 /// cells replaying the same prefill artifact land in the same group, in
 /// first-seen plan order. Each group is then split into sub-batches of at
@@ -385,210 +346,117 @@ pub fn plan_batches(plan: &TaskPlan, indices: &[usize], threads: usize) -> Vec<V
         .collect()
 }
 
-/// A strategy for executing (a partition of) a [`TaskPlan`].
-///
-/// Implementations decide *which* cells run ([`Executor::assigned`]);
-/// the default [`Executor::execute`] runs that partition on the shared
-/// worker pool, which is what both built-in executors want. Results are
-/// returned as `(plan index, result)` pairs in plan order regardless of
-/// worker scheduling, so execution strategy never changes output.
-pub trait Executor {
-    /// The plan indices this executor is responsible for, ascending.
-    fn assigned(&self, plan: &TaskPlan) -> Vec<usize>;
-
-    /// The shard coordinates of this executor's partition, 0-based
-    /// `(index, count)`. The full in-process run is `(0, 1)`.
-    fn shard(&self) -> (u32, u32) {
-        (0, 1)
-    }
-
-    /// Human-readable label for progress lines.
-    fn describe(&self) -> String;
-
-    /// Executes every assigned cell not in `hooks.skip` and returns the
-    /// completions in plan order. When [`ExecHooks::run_batch`] is set,
-    /// cells run in [`plan_batches`] trace-sharing groups (one batch per
-    /// worker task); either way results come back `(plan index, result)`
-    /// in plan order, so the batching strategy never changes output.
-    fn execute(&self, plan: &TaskPlan, hooks: ExecHooks<'_>) -> Vec<(usize, CellResult)> {
-        let indices: Vec<usize> = self
-            .assigned(plan)
-            .into_iter()
-            .filter(|i| !hooks.skip.contains(i))
-            .collect();
-        let observe = hooks.observe;
-        if let Some(run_batch) = hooks.run_batch {
-            let mut batches = plan_batches(plan, &indices, hooks.threads);
-            if let Some(cost) = hooks.cost {
-                // LPT over batches: heaviest predicted batch first, ties
-                // broken by first plan index for determinism. Grouping
-                // is unchanged — only the order batches enter the pool.
-                batches.sort_by_key(|b| {
-                    let total: u64 = b
-                        .iter()
-                        .map(|&i| cost.get(i).copied().unwrap_or(0))
-                        .fold(0, u64::saturating_add);
-                    (std::cmp::Reverse(total), b[0])
-                });
-            }
-            let results: Vec<Vec<CellResult>> = pool::parallel_map_observed(
-                &batches,
-                hooks.threads,
-                |b| {
-                    let cells: Vec<&PlannedCell> = b.iter().map(|&i| &plan.cells[i]).collect();
-                    let rs = run_batch(&cells);
-                    assert_eq!(
-                        rs.len(),
-                        cells.len(),
-                        "batch runner must return one result per cell"
-                    );
-                    rs
-                },
-                &|b| {
-                    // The [key=…] tag is machine-parseable culprit
-                    // identity: the orchestrator greps a dead worker's
-                    // log for it to decide which cell to quarantine. A
-                    // batch is labeled by its first cell (best effort —
-                    // a panic message carrying its own key, like an
-                    // injected poison cell, overrides it since culprit
-                    // extraction takes the last key on the line).
-                    let pc = &plan.cells[b[0]];
-                    let first = format!("{} [key={}]", pc.cell.describe(), pc.key.hex());
-                    match b.len() {
-                        1 => first,
-                        n => format!("{first} (+{} trace-sharing cell(s))", n - 1),
-                    }
-                },
-                &mut |slot, rs| {
-                    for (&i, r) in batches[slot].iter().zip(rs) {
-                        observe(&plan.cells[i], r);
-                    }
-                },
+/// Runs `batches` of plan indices on a `threads`-wide pool, one batch per
+/// worker task, and returns `(plan index, result)` pairs in plan order
+/// whatever the scheduling. `observe` sees every completion on the
+/// coordinating thread, in completion order (journal appends, progress).
+pub(crate) fn execute_batches(
+    plan: &TaskPlan,
+    batches: &[Vec<usize>],
+    threads: usize,
+    run_batch: &(dyn Fn(&[&PlannedCell]) -> Vec<CellResult> + Sync),
+    observe: &mut dyn FnMut(&PlannedCell, &CellResult),
+) -> Vec<(usize, CellResult)> {
+    let results: Vec<Vec<CellResult>> = pool::parallel_map_observed(
+        batches,
+        threads,
+        |b| {
+            let cells: Vec<&PlannedCell> = b.iter().map(|&i| &plan.cells[i]).collect();
+            let rs = run_batch(&cells);
+            assert_eq!(
+                rs.len(),
+                cells.len(),
+                "batch runner must return one result per cell"
             );
-            let mut out: Vec<(usize, CellResult)> = batches
+            rs
+        },
+        &|b| {
+            // The [key=…] tag is machine-parseable culprit identity: the
+            // orchestrator greps a dead worker's log for it to decide
+            // which cell to quarantine. A batch is labeled by its first
+            // cell (best effort — a panic message carrying its own key,
+            // like an injected poison cell, overrides it since culprit
+            // extraction takes the last key on the line).
+            let pc = &plan.cells[b[0]];
+            let first = format!("{} [key={}]", pc.cell.describe(), pc.key.hex());
+            match b.len() {
+                1 => first,
+                n => format!("{first} (+{} trace-sharing cell(s))", n - 1),
+            }
+        },
+        &mut |slot, rs| {
+            for (&i, r) in batches[slot].iter().zip(rs) {
+                observe(&plan.cells[i], r);
+            }
+        },
+    );
+    let mut out: Vec<(usize, CellResult)> = batches
+        .iter()
+        .zip(results)
+        .flat_map(|(b, rs)| b.iter().copied().zip(rs))
+        .collect();
+    out.sort_by_key(|(i, _)| *i);
+    out
+}
+
+/// Which cells of a [`TaskPlan`] one process runs, and the shard
+/// coordinates its [`ShardOutput`](crate::ShardOutput) claims. The plan,
+/// not the assignment, decides *what* each cell is, so any assignment
+/// simulates its cells bit-identically to the same cells inside a full
+/// run.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum Assignment {
+    /// Every cell: the single-process run, shard coordinates `(0, 1)`.
+    All,
+    /// The `--shard I/N` partition: the cells whose [`CellKey`] lands in
+    /// this shard (`key % N == index`). Every shard of the same plan
+    /// computes the same partition, so N machines given shards
+    /// `1/N .. N/N` cover every cell exactly once with no coordination.
+    Hash(ShardSpec),
+    /// An explicit list of plan indices (any order) claiming the given
+    /// shard coordinates: one bin of a cost-balanced partition
+    /// (`--partition balanced`). Outputs verify and merge exactly like
+    /// hashed ones, since coverage is checked against the assignment.
+    /// The list is passed in rather than recomputed so the caller
+    /// controls which cost model produced it; determinism across
+    /// processes comes from parent and workers loading the same
+    /// `costs.json`.
+    Explicit(ShardSpec, Vec<usize>),
+}
+
+impl Assignment {
+    /// The plan indices assigned, ascending.
+    pub fn cells(&self, plan: &TaskPlan) -> Vec<usize> {
+        match self {
+            Assignment::All => (0..plan.cells.len()).collect(),
+            Assignment::Hash(shard) => plan
+                .cells
                 .iter()
-                .zip(results)
-                .flat_map(|(b, rs)| b.iter().copied().zip(rs))
-                .collect();
-            out.sort_by_key(|(i, _)| *i);
-            return out;
+                .filter(|pc| pc.key.shard_of(shard.count) == shard.index)
+                .map(|pc| pc.index)
+                .collect(),
+            Assignment::Explicit(_, cells) => {
+                let mut cells = cells.clone();
+                cells.sort_unstable();
+                cells
+            }
         }
-        let mut indices = indices;
-        if let Some(cost) = hooks.cost {
-            crate::costs::order_lpt(cost, &mut indices);
+    }
+
+    /// The shard coordinates, 0-based `(index, count)`; the full run is
+    /// `(0, 1)`.
+    pub fn shard(&self) -> (u32, u32) {
+        match self {
+            Assignment::All => (0, 1),
+            Assignment::Hash(shard) | Assignment::Explicit(shard, _) => (shard.index, shard.count),
         }
-        let tasks: Vec<&PlannedCell> = indices.iter().map(|&i| &plan.cells[i]).collect();
-        let run = hooks.run;
-        let results = pool::parallel_map_observed(
-            &tasks,
-            hooks.threads,
-            |pc| run(pc),
-            &|pc| format!("{} [key={}]", pc.cell.describe(), pc.key.hex()),
-            &mut |slot, r| observe(tasks[slot], r),
-        );
-        let mut out: Vec<(usize, CellResult)> = indices.into_iter().zip(results).collect();
-        out.sort_by_key(|(i, _)| *i);
-        out
-    }
-}
-
-/// The historical single-process strategy: every cell of the plan runs
-/// on this process's worker pool.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct InProcessExecutor;
-
-impl Executor for InProcessExecutor {
-    fn assigned(&self, plan: &TaskPlan) -> Vec<usize> {
-        (0..plan.cells.len()).collect()
-    }
-
-    fn describe(&self) -> String {
-        "in-process".to_string()
-    }
-}
-
-/// The `--shard I/N` strategy: runs exactly the cells whose [`CellKey`]
-/// lands in this shard under the deterministic N-way partition
-/// (`key % N == index`). Every shard of the same plan computes the same
-/// partition, so N machines given shards `1/N .. N/N` cover every cell
-/// exactly once with no coordination.
-#[derive(Debug, Clone, Copy)]
-pub struct ShardedExecutor {
-    shard: ShardSpec,
-}
-
-impl ShardedExecutor {
-    /// Builds the executor for one shard of the partition.
-    pub fn new(shard: ShardSpec) -> Self {
-        ShardedExecutor { shard }
-    }
-
-    /// The shard this executor runs.
-    pub fn spec(&self) -> ShardSpec {
-        self.shard
-    }
-}
-
-impl Executor for ShardedExecutor {
-    fn assigned(&self, plan: &TaskPlan) -> Vec<usize> {
-        plan.cells
-            .iter()
-            .filter(|pc| pc.key.shard_of(self.shard.count) == self.shard.index)
-            .map(|pc| pc.index)
-            .collect()
-    }
-
-    fn shard(&self) -> (u32, u32) {
-        (self.shard.index, self.shard.count)
-    }
-
-    fn describe(&self) -> String {
-        format!("shard {} (by cell key)", self.shard.display())
-    }
-}
-
-/// One shard of a cost-balanced partition: runs an explicit assignment
-/// (one bin of [`CostModel::partition`](crate::CostModel::partition))
-/// instead of the `key % N` hash split, while claiming the same shard
-/// coordinates — shard outputs verify and merge exactly like hashed
-/// ones, since coverage is always checked against the assignment.
-///
-/// The assignment is passed in rather than recomputed so the caller
-/// controls which cost model produced it; determinism across processes
-/// comes from parent and workers loading the same `costs.json`.
-#[derive(Debug, Clone)]
-pub struct BalancedExecutor {
-    shard: ShardSpec,
-    assigned: Vec<usize>,
-}
-
-impl BalancedExecutor {
-    /// Builds the executor for shard `shard` running exactly
-    /// `assigned` (plan indices, any order — execution normalizes).
-    pub fn new(shard: ShardSpec, assigned: Vec<usize>) -> Self {
-        BalancedExecutor { shard, assigned }
-    }
-}
-
-impl Executor for BalancedExecutor {
-    fn assigned(&self, _plan: &TaskPlan) -> Vec<usize> {
-        let mut a = self.assigned.clone();
-        a.sort_unstable();
-        a
-    }
-
-    fn shard(&self) -> (u32, u32) {
-        (self.shard.index, self.shard.count)
-    }
-
-    fn describe(&self) -> String {
-        format!("shard {} (cost-balanced)", self.shard.display())
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::HashSet;
     use unison_sim::{Design, Scenario, SimConfig, SystemSpec};
     use unison_trace::workloads;
 
@@ -706,8 +574,8 @@ mod tests {
         for count in [1u32, 2, 3, 5] {
             let mut seen: Vec<usize> = Vec::new();
             for index in 0..count {
-                let exec = ShardedExecutor::new(ShardSpec::new(index, count).unwrap());
-                seen.extend(exec.assigned(&plan));
+                let shard = ShardSpec::new(index, count).unwrap();
+                seen.extend(Assignment::Hash(shard).cells(&plan));
             }
             seen.sort_unstable();
             assert_eq!(
@@ -717,9 +585,15 @@ mod tests {
             );
         }
         assert_eq!(
-            InProcessExecutor.assigned(&plan),
+            Assignment::All.cells(&plan),
             (0..plan.len()).collect::<Vec<_>>()
         );
+        let shard = ShardSpec::new(1, 3).unwrap();
+        let explicit = Assignment::Explicit(shard, vec![5, 0, 3]);
+        assert_eq!(explicit.cells(&plan), vec![0, 3, 5], "explicit lists sort");
+        assert_eq!(explicit.shard(), (1, 3));
+        assert_eq!(Assignment::Hash(shard).shard(), (1, 3));
+        assert_eq!(Assignment::All.shard(), (0, 1));
     }
 
     #[test]

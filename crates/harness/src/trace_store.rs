@@ -26,7 +26,22 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 
+use unison_sim::TracePlan;
 use unison_trace::{artifact_key, TraceArtifact, WorkloadSpec};
+
+/// The artifact a run of `plan` under `seed` replays: the store's shared
+/// freeze or, without a store ([`crate::TracePolicy::Generate`]), the
+/// zero-record artifact of live generation.
+pub(crate) fn artifact_for(
+    traces: Option<&TraceStore>,
+    plan: &TracePlan,
+    seed: u64,
+) -> Arc<TraceArtifact> {
+    match traces {
+        Some(t) => t.get(&plan.scaled_spec, seed, plan.frozen_len),
+        None => Arc::new(plan.live(seed)),
+    }
+}
 
 /// Memo key: (serialized scaled workload spec, trace seed) — the same
 /// full-spec keying as [`crate::BaselineStore`], so two specs sharing a
@@ -78,8 +93,7 @@ impl TraceStore {
     ///
     /// `scaled_spec` must be the spec the run actually generates with
     /// (i.e. `TracePlan::scaled_spec`), and `min_len` the plan's
-    /// `frozen_len`; `unison_sim::run_experiment_with_source` re-derives
-    /// and asserts both.
+    /// `frozen_len`; `unison_sim::CellSim` re-derives and asserts both.
     pub fn get(&self, scaled_spec: &WorkloadSpec, seed: u64, min_len: u64) -> Arc<TraceArtifact> {
         let json = serde_json::to_string(scaled_spec).expect("workload spec serializes");
         let slot = {

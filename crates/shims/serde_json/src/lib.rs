@@ -55,16 +55,24 @@ pub fn from_value<T: Deserialize>(v: &Value) -> Result<T, Error> {
     T::from_value(v).map_err(|e| Error(e.to_string()))
 }
 
+/// Deepest array/object nesting [`parse`] accepts (the real
+/// `serde_json`'s limit). The parser recurses once per level, so an
+/// unbounded depth would let a hostile document overflow the stack and
+/// abort the process — which no `catch_unwind` can contain.
+const MAX_DEPTH: usize = 128;
+
 /// Parses `s` as one JSON document into a [`Value`] tree.
 ///
 /// # Errors
 ///
 /// Returns an [`Error`] describing the first syntax error (with a byte
-/// offset) or trailing non-whitespace input.
+/// offset), nesting deeper than 128 levels, or trailing non-whitespace
+/// input.
 pub fn parse(s: &str) -> Result<Value, Error> {
     let mut p = Parser {
         bytes: s.as_bytes(),
         pos: 0,
+        depth: 0,
     };
     p.skip_ws();
     let v = p.value()?;
@@ -78,6 +86,8 @@ pub fn parse(s: &str) -> Result<Value, Error> {
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays/objects currently open.
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -119,11 +129,22 @@ impl Parser<'_> {
             Some(b't') if self.eat_keyword("true") => Ok(Value::Bool(true)),
             Some(b'f') if self.eat_keyword("false") => Ok(Value::Bool(false)),
             Some(b'"') => self.string().map(Value::Str),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
+            Some(b'[') => self.nested(Self::array),
+            Some(b'{') => self.nested(Self::object),
             Some(c) if c == b'-' || c.is_ascii_digit() => self.number(),
             _ => Err(self.err("expected a JSON value")),
         }
+    }
+
+    /// Parses one array or object with `container`, one level deeper.
+    fn nested(&mut self, container: fn(&mut Self) -> Result<Value, Error>) -> Result<Value, Error> {
+        if self.depth == MAX_DEPTH {
+            return Err(self.err(&format!("nesting deeper than {MAX_DEPTH} levels")));
+        }
+        self.depth += 1;
+        let v = container(self);
+        self.depth -= 1;
+        v
     }
 
     fn array(&mut self) -> Result<Value, Error> {
@@ -462,6 +483,23 @@ mod tests {
         }
         assert_eq!(to_string(&parse("-0").unwrap()).unwrap(), "-0");
         assert_eq!(parse("-0.0").unwrap(), Value::F64(-0.0));
+    }
+
+    #[test]
+    fn nesting_is_limited_without_overflowing_the_stack() {
+        let at_limit = format!("{}{}", "[".repeat(MAX_DEPTH), "]".repeat(MAX_DEPTH));
+        assert!(parse(&at_limit).is_ok());
+        let over = format!("{}{}", "[".repeat(MAX_DEPTH + 1), "]".repeat(MAX_DEPTH + 1));
+        let err = parse(&over).unwrap_err().to_string();
+        assert!(err.contains("nesting deeper than 128 levels"), "{err}");
+        assert!(err.contains(&format!("at byte {MAX_DEPTH}")), "{err}");
+        // Hostile documents a million levels deep fail cleanly instead of
+        // aborting the process with a stack overflow.
+        for unit in ["[", "{\"a\":"] {
+            let hostile = unit.repeat(1_000_000);
+            let err = parse(&hostile).unwrap_err().to_string();
+            assert!(err.contains("nesting deeper"), "{unit}: {err}");
+        }
     }
 
     #[test]

@@ -1,18 +1,23 @@
-//! Incremental single-cell simulation for trace-shared batching.
+//! The cell engine: one experiment cell simulated as a resumable
+//! warmup → measurement state machine.
 //!
-//! [`CellSim`] is [`crate::run_experiment_with_source`] unrolled into a
-//! resumable state machine: construct one per campaign cell, then
-//! [`CellSim::step`] each in turn with small record budgets so a group
-//! of cells replaying the **same** frozen [`TraceArtifact`] interleave
-//! their simulations over one streaming pass of the shared bytes —
-//! every cell's replay cursor walks the region of the artifact that is
-//! already hot in cache. Results are **bit-identical** to the one-shot
-//! runner (pinned by `stepped_cell_sim_matches_one_shot_runner` and the
-//! harness-level batching identity tests): the phase boundaries, the
-//! fresh-session buffered-record drop, and the result arithmetic all
-//! replicate `drive_cache` exactly.
+//! [`CellSim`] is the **only** simulation engine. A one-shot run is
+//! [`CellSim::finish`] (a single `step(u64::MAX)`); a campaign batch
+//! steps a group of cells that replay the **same** frozen
+//! [`TraceArtifact`] round-robin in small record budgets, so their
+//! replay cursors walk the region of the artifact that is already hot in
+//! cache. Live generation is the same replay cursor over a zero-record
+//! artifact: the cursor falls straight through to its lazily built
+//! generator tail at record zero. Stepping with any budget schedule is
+//! bit-identical to one `step(u64::MAX)` (pinned by
+//! `ragged_stepping_matches_one_step_for_every_design`).
+//!
+//! The warmup/measurement boundary starts a fresh dispatch session,
+//! dropping whatever records the warmup phase had buffered (the stream
+//! position still advances past them). The golden fixtures were captured
+//! with that behaviour.
 
-use unison_core::DramCacheModel;
+use unison_core::{DramCacheModel, NoCache};
 use unison_trace::{TraceArtifact, WorkloadSpec};
 
 use crate::metrics::RunResult;
@@ -30,21 +35,26 @@ enum Phase {
 /// One experiment cell being simulated incrementally against a borrowed
 /// trace artifact.
 ///
+/// Generic over the cache model, as [`System`] is. [`CellSim::new`]
+/// builds the design boxed (`Box<dyn DramCacheModel>`), which is how
+/// campaign batches hold heterogeneous cells; [`CellSim::with_cache`]
+/// takes a caller-built model, such as an ablation's instrumented
+/// wrapper; [`CellSim::baseline`] runs a concrete `NoCache`.
+///
 /// Borrows **only** the artifact (the trace plan's scaled spec is cloned
 /// into the replay cursor), so a batch driver can hold many `CellSim`s
 /// against `Arc`-shared artifacts without self-referential lifetimes.
 ///
 /// # Construction panics
 ///
-/// [`CellSim::new`] validates the artifact exactly as
-/// [`crate::TraceSource::Replay`] does: it must have been frozen from
-/// this cell's `(scaled spec, seed)` and cover the planned
-/// `frozen_len`.
-pub struct CellSim<'a> {
+/// Construction validates the artifact: it must have been frozen from
+/// this cell's `(scaled spec, seed)` and either cover the planned
+/// `frozen_len` or hold zero records (live generation).
+pub struct CellSim<'a, C = Box<dyn DramCacheModel>> {
     design: Design,
     cache_bytes: u64,
     workload: String,
-    sys: System<Box<dyn DramCacheModel>>,
+    sys: System<C>,
     trace: ReplayWithTail<'a>,
     session: DispatchSession,
     phase: Phase,
@@ -57,10 +67,40 @@ pub struct CellSim<'a> {
 }
 
 impl<'a> CellSim<'a> {
-    /// Sets up the cell: builds the scaled cache and system, validates
-    /// `artifact` against the run's trace plan, and positions the replay
-    /// cursor at record zero. No records are consumed yet.
+    /// Sets up the cell with `design` built boxed at the scaled
+    /// capacity: builds the system, validates `artifact` against the
+    /// run's trace plan, and positions the replay cursor at record zero.
+    /// No records are consumed yet.
     pub fn new(
+        design: Design,
+        cache_bytes: u64,
+        spec: &WorkloadSpec,
+        cfg: &SimConfig,
+        artifact: &'a TraceArtifact,
+    ) -> Self {
+        let cache = design.build_scaled(
+            cfg.scaled_cache_bytes(cache_bytes),
+            cache_bytes.max(1),
+            &cfg.system,
+        );
+        Self::with_cache(cache, design, cache_bytes, spec, cfg, artifact)
+    }
+}
+
+impl<'a> CellSim<'a, NoCache> {
+    /// The NoCache speedup baseline (cache size 0) on the concrete
+    /// `NoCache` type, so the cheapest design's access path inlines into
+    /// the dispatch loop.
+    pub fn baseline(spec: &WorkloadSpec, cfg: &SimConfig, artifact: &'a TraceArtifact) -> Self {
+        Self::with_cache(NoCache::new(), Design::NoCache, 0, spec, cfg, artifact)
+    }
+}
+
+impl<'a, C: DramCacheModel> CellSim<'a, C> {
+    /// [`CellSim::new`] over a caller-built `cache` at this cell's scaled
+    /// capacity; `design` only names the result.
+    pub fn with_cache(
+        cache: C,
         design: Design,
         cache_bytes: u64,
         spec: &WorkloadSpec,
@@ -69,12 +109,6 @@ impl<'a> CellSim<'a> {
     ) -> Self {
         let plan = cfg.trace_plan(spec, cache_bytes);
         let trace = replay_with_tail(artifact, &plan, spec, cfg);
-        let scaled_cache = cfg.scaled_cache_bytes(cache_bytes);
-        // `build_scaled` constructs the identical cache the one-shot
-        // runner's `drive` would for every design: its Ideal/NoCache
-        // devirtualization is a dispatch-cost optimization, not a
-        // different model.
-        let cache = design.build_scaled(scaled_cache, cache_bytes.max(1), &cfg.system);
         let sys = System::new(
             cfg.system.resolved_cores(spec) as usize,
             cache,
@@ -98,6 +132,11 @@ impl<'a> CellSim<'a> {
         }
     }
 
+    /// The cache model being simulated.
+    pub fn cache(&self) -> &C {
+        self.sys.cache()
+    }
+
     /// Whether both phases have run to completion.
     pub fn is_done(&self) -> bool {
         self.phase == Phase::Done
@@ -115,16 +154,14 @@ impl<'a> CellSim<'a> {
     /// Advances the simulation by up to `budget` records, crossing the
     /// warmup/measurement boundary mid-step if the budget spans it
     /// (snapshotting progress, resetting statistics, and starting a
-    /// fresh dispatch session exactly as the one-shot runner's phase
-    /// split does). Returns the records actually consumed — less than
-    /// `budget` only once the cell finishes.
+    /// fresh dispatch session). Returns the records actually consumed —
+    /// less than `budget` only once the cell finishes.
     ///
     /// # Panics
     ///
-    /// Panics if the trace runs dry before a phase completes, with the
-    /// same diagnostics as the one-shot runner. (A replayed artifact
-    /// chains into live tail generation, so this indicates a genuinely
-    /// broken source, not an undersized artifact.)
+    /// Panics if the trace runs dry before a phase completes. (The
+    /// replay cursor chains into live tail generation, so this indicates
+    /// a genuinely broken source, not an undersized artifact.)
     pub fn step(&mut self, budget: u64) -> u64 {
         let mut consumed = 0u64;
         while consumed < budget && self.phase != Phase::Done {
@@ -155,10 +192,10 @@ impl<'a> CellSim<'a> {
                     Phase::Warmup => {
                         self.before = self.sys.progress();
                         self.sys.reset_measurement();
-                        // Fresh session: the one-shot runner's second
-                        // `run` call drops whatever records the warmup
-                        // call had buffered (advancing the stream
-                        // position past them), and so must we.
+                        // Fresh session: whatever records the warmup
+                        // phase had buffered are dropped (the stream
+                        // position stays past them), as the golden
+                        // fixtures were captured.
                         self.session = DispatchSession::new();
                         self.phase = Phase::Measurement;
                     }
@@ -174,8 +211,15 @@ impl<'a> CellSim<'a> {
         consumed
     }
 
-    /// Finalizes the cell into the same [`RunResult`] the one-shot
-    /// runner produces.
+    /// Runs the cell to completion in one step and returns its result:
+    /// the one-shot form of the engine.
+    pub fn finish(mut self) -> RunResult {
+        self.step(u64::MAX);
+        self.into_result()
+    }
+
+    /// Finalizes a completed cell into its [`RunResult`]. UIPC and the
+    /// statistics cover the measurement phase only.
     ///
     /// # Panics
     ///
@@ -212,42 +256,66 @@ impl<'a> CellSim<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::runner::{run_experiment_with_source, TraceSource};
     use unison_trace::workloads;
 
     /// Stepping a `CellSim` with ragged budgets (straddling the
-    /// warmup/measurement boundary mid-step) must reproduce the one-shot
-    /// runner bit for bit, for both a heavy boxed design and a
-    /// devirtualized one.
+    /// warmup/measurement boundary mid-step) must reproduce one
+    /// `step(u64::MAX)` bit for bit, for every design, on both a
+    /// replayed artifact and the zero-record live cursor.
     #[test]
-    fn stepped_cell_sim_matches_one_shot_runner() {
+    fn ragged_stepping_matches_one_step_for_every_design() {
         let cfg = SimConfig::quick_test();
         let w = workloads::web_serving();
         let size = 128 << 20;
         let plan = cfg.trace_plan(&w, size);
-        let artifact =
-            unison_trace::TraceArtifact::freeze(&plan.scaled_spec, cfg.seed, plan.frozen_len);
+        let replay = TraceArtifact::freeze(&plan.scaled_spec, cfg.seed, plan.frozen_len);
+        let live = plan.live(cfg.seed);
 
-        for design in [Design::Unison, Design::Ideal, Design::NoCache] {
-            let one_shot =
-                run_experiment_with_source(design, size, &w, &cfg, TraceSource::Replay(&artifact));
+        for (source, artifact) in [("replay", &replay), ("live", &live)] {
+            for design in [
+                Design::Alloy,
+                Design::Footprint,
+                Design::Unison,
+                Design::Unison1984,
+                Design::UnisonAssoc(32),
+                Design::Ideal,
+                Design::NoCache,
+            ] {
+                let one_step = CellSim::new(design, size, &w, &cfg, artifact).finish();
 
-            let mut cell = CellSim::new(design, size, &w, &cfg, &artifact);
-            // Ragged budget schedule, including a big chunk that crosses
-            // the phase boundary inside one step() call.
-            let mut budgets = [1u64, 17, 5_000, 50_000, 999].iter().cycle();
-            while !cell.is_done() {
-                cell.step(*budgets.next().unwrap());
+                let mut cell = CellSim::new(design, size, &w, &cfg, artifact);
+                // Ragged budget schedule, including a big chunk that
+                // crosses the phase boundary inside one step() call.
+                let mut budgets = [1u64, 17, 5_000, 50_000, 999].iter().cycle();
+                while !cell.is_done() {
+                    cell.step(*budgets.next().unwrap());
+                }
+                assert_eq!(cell.step(1_000), 0, "a done cell consumes nothing");
+                let stepped = cell.into_result();
+
+                assert_eq!(
+                    serde_json::to_string(&stepped).unwrap(),
+                    serde_json::to_string(&one_step).unwrap(),
+                    "{design:?} over {source}: ragged stepping diverged from one step"
+                );
             }
-            assert_eq!(cell.step(1_000), 0, "a done cell consumes nothing");
-            let stepped = cell.into_result();
-
-            assert_eq!(
-                serde_json::to_string(&stepped).unwrap(),
-                serde_json::to_string(&one_shot).unwrap(),
-                "{design:?}: stepped simulation must be bit-identical to the one-shot runner"
-            );
         }
+    }
+
+    /// A concrete cache model and the boxed one the batch path builds
+    /// simulate identically.
+    #[test]
+    fn concrete_nocache_matches_boxed() {
+        let cfg = SimConfig::quick_test();
+        let w = workloads::web_search();
+        let plan = cfg.trace_plan(&w, 0);
+        let artifact = TraceArtifact::freeze(&plan.scaled_spec, cfg.seed, plan.frozen_len);
+        let boxed = CellSim::new(Design::NoCache, 0, &w, &cfg, &artifact).finish();
+        let concrete = CellSim::baseline(&w, &cfg, &artifact).finish();
+        assert_eq!(
+            serde_json::to_string(&boxed).unwrap(),
+            serde_json::to_string(&concrete).unwrap()
+        );
     }
 
     #[test]
@@ -256,8 +324,7 @@ mod tests {
         let w = workloads::web_search();
         let size = 128 << 20;
         let plan = cfg.trace_plan(&w, size);
-        let artifact =
-            unison_trace::TraceArtifact::freeze(&plan.scaled_spec, cfg.seed, plan.frozen_len);
+        let artifact = TraceArtifact::freeze(&plan.scaled_spec, cfg.seed, plan.frozen_len);
         let mut cell = CellSim::new(Design::Alloy, size, &w, &cfg, &artifact);
         let mut last = cell.remaining();
         assert!(last > 0);

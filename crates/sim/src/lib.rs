@@ -44,10 +44,8 @@ pub use cell_sim::CellSim;
 pub use core_model::CoreParams;
 pub use metrics::RunResult;
 pub use runner::{
-    check_baseline, replay_lookahead, run_baseline, run_experiment,
-    run_experiment_timed_with_source, run_experiment_with_source, run_speedup,
-    run_speedup_with_baseline, run_speedup_with_baseline_source, Design, SimConfig, SpeedupResult,
-    Timed, TracePlan, TraceSource,
+    check_baseline, replay_lookahead, run_experiment, run_speedup, Design, SimConfig,
+    SpeedupResult, TracePlan,
 };
 pub use scenario::{scenarios_from_json, Scenario, SystemSpec};
 pub use system::{DispatchSession, System};

@@ -7,9 +7,9 @@ use unison_core::{
 };
 use unison_trace::{artifact_key, TraceArtifact, TraceRecord, WorkloadGen, WorkloadSpec};
 
+use crate::cell_sim::CellSim;
 use crate::metrics::RunResult;
 use crate::scenario::SystemSpec;
-use crate::system::System;
 
 /// The cache designs the experiments compare.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -237,8 +237,8 @@ impl SimConfig {
     }
 
     /// The trace a run of nominal `cache_bytes` over `spec` requires —
-    /// the **single source of truth** both for [`run_experiment`]'s live
-    /// generation and for trace-artifact stores deciding what to freeze.
+    /// the **single source of truth** both for the cell engine's record
+    /// budget and for trace-artifact stores deciding what to freeze.
     ///
     /// The system spec's core-count override is applied *before* scaling,
     /// so the scaled spec (and therefore every artifact key and baseline
@@ -259,7 +259,7 @@ impl SimConfig {
 ///
 /// The dispatch loop pulls records past the ones it consumes: refilling
 /// one core's buffer stashes records for other cores, and whatever is
-/// buffered when the warmup call returns is dropped at the measurement
+/// buffered when the warmup phase ends is dropped at the measurement
 /// boundary — while still advancing the stream position. Live generation
 /// is infinite so this is invisible; a frozen artifact must cover the
 /// overshoot or replay runs dry near the end.
@@ -270,9 +270,8 @@ impl SimConfig {
 /// keep buffering the fast cores — observed at ~0.2% of a 9 M-record
 /// TPC-H run. The margin is a 16 Ki floor plus 1/32nd of the consumed
 /// total (~15× the observed skew). It is a *provisioning* knob, not a
-/// correctness bound: replay falls back to generating the tail live if
-/// the margin is ever exceeded (bit-identical either way; see
-/// [`TraceSource::Replay`]).
+/// correctness bound: the replay cursor falls back to generating the
+/// tail live if the margin is ever exceeded (bit-identical either way).
 pub fn replay_lookahead(total: u64) -> u64 {
     16_384 + total / 32
 }
@@ -292,43 +291,27 @@ pub struct TracePlan {
     pub frozen_len: u64,
 }
 
-/// Where [`run_experiment_with_source`] gets its record stream.
-///
-/// Both variants produce **bit-identical** results: a replayed artifact
-/// frozen from the run's `(scaled spec, seed)` yields exactly the stream
-/// live generation would (pinned by the golden fixtures and
-/// `tests/trace_artifacts.rs`). Replay skips the per-record RNG/Zipf
-/// synthesis cost, which is what makes multi-design campaigns over a
-/// shared workload fast.
-#[derive(Debug, Clone, Copy)]
-pub enum TraceSource<'a> {
-    /// Generate the stream live with [`WorkloadGen`] (the historical
-    /// behaviour; always available).
-    Live,
-    /// Replay a frozen [`TraceArtifact`]. Must have been frozen from the
-    /// run's scaled spec and seed (asserted — a mismatched artifact
-    /// would silently simulate the wrong workload) and at least cover
-    /// the planned `frozen_len` (asserted — stores must provision the
-    /// read-ahead margin). Should the dispatch loop's read-ahead ever
-    /// exceed even that margin, the stream continues with lazily
-    /// generated live records from the same position, so results stay
-    /// bit-identical in all cases.
-    Replay(&'a TraceArtifact),
+impl TracePlan {
+    /// The artifact for generating this plan's trace live under `seed`:
+    /// zero records, so the cell engine's cursor generates from record 0.
+    pub fn live(&self, seed: u64) -> TraceArtifact {
+        TraceArtifact::freeze(&self.scaled_spec, seed, 0)
+    }
 }
 
-/// Replay cursor with a lazy live-generation safety net.
+/// Replay cursor with a lazy live-generation tail — the one record
+/// source of the cell engine.
 ///
 /// The hot path is one inlined [`unison_trace::TraceReplay`] read plus a
-/// predictable branch. Only if the dispatch loop reads past the frozen
-/// records (its warmup-boundary overshoot exceeded the artifact's
-/// provisioned margin) does the cold path construct a [`WorkloadGen`]
-/// and advance it to the artifact's end position — paying the full
-/// prefix generation cost once, in exchange for results that stay
-/// bit-identical to live generation no matter how large the overshoot.
+/// predictable branch. Past the frozen records the cold path constructs
+/// a [`WorkloadGen`] and advances it to the artifact's end position, so
+/// the stream continues bit-identically to live generation however far
+/// the dispatch loop reads ahead. A zero-record artifact therefore *is*
+/// live generation: the tail starts at record zero.
 pub(crate) struct ReplayWithTail<'a> {
     pub(crate) replay: unison_trace::TraceReplay<'a>,
-    /// Owned so long-lived consumers (the batched [`crate::CellSim`])
-    /// only borrow the artifact, not a stack-local trace plan.
+    /// Owned so long-lived consumers (batched [`crate::CellSim`]s) only
+    /// borrow the artifact, not a stack-local trace plan.
     pub(crate) scaled_spec: WorkloadSpec,
     pub(crate) seed: u64,
     /// Records the artifact holds — the stream position the tail
@@ -364,56 +347,16 @@ impl Iterator for ReplayWithTail<'_> {
     }
 }
 
-/// Runs one experiment: `design` at nominal `cache_bytes` (scaled per
-/// `cfg`) over `spec` (footprint scaled likewise).
-///
-/// The returned [`RunResult`] reports the *nominal* cache size.
-pub fn run_experiment(
-    design: Design,
-    cache_bytes: u64,
-    spec: &WorkloadSpec,
-    cfg: &SimConfig,
-) -> RunResult {
-    run_experiment_with_source(design, cache_bytes, spec, cfg, TraceSource::Live)
-}
-
-/// [`run_experiment`] with an explicit record stream: live generation or
-/// zero-copy replay of a frozen artifact (see [`TraceSource`]).
-///
-/// # Panics
-///
-/// Panics if a [`TraceSource::Replay`] artifact was frozen from a
-/// different `(scaled spec, seed)` than this run requires, or is shorter
-/// than the run's trace length — either would silently change results.
-pub fn run_experiment_with_source(
-    design: Design,
-    cache_bytes: u64,
-    spec: &WorkloadSpec,
-    cfg: &SimConfig,
-    source: TraceSource<'_>,
-) -> RunResult {
-    let plan = cfg.trace_plan(spec, cache_bytes);
-    match source {
-        TraceSource::Live => {
-            let trace = WorkloadGen::new(plan.scaled_spec, cfg.seed);
-            drive(design, cache_bytes, spec, cfg, trace, plan.total)
-        }
-        TraceSource::Replay(artifact) => {
-            let trace = replay_with_tail(artifact, &plan, spec, cfg);
-            drive(design, cache_bytes, spec, cfg, trace, plan.total)
-        }
-    }
-}
-
 /// Builds the replay-with-tail cursor for `artifact` after validating it
-/// against the run's trace `plan` — the shared entry point of
-/// [`run_experiment_with_source`] and the batched [`crate::CellSim`].
+/// against the run's trace `plan`.
 ///
 /// # Panics
 ///
 /// Panics if the artifact was frozen from a different
-/// `(scaled spec, seed)` or is shorter than `plan.frozen_len` — either
-/// would silently change results.
+/// `(scaled spec, seed)`, or holds records but fewer than
+/// `plan.frozen_len` — either would silently change results or defeat
+/// the store's provisioning. A zero-record artifact is accepted as live
+/// generation.
 pub(crate) fn replay_with_tail<'a>(
     artifact: &'a TraceArtifact,
     plan: &TracePlan,
@@ -430,7 +373,7 @@ pub(crate) fn replay_with_tail<'a>(
         cfg.scale,
     );
     assert!(
-        artifact.len() as u64 >= plan.frozen_len,
+        artifact.is_empty() || artifact.len() as u64 >= plan.frozen_len,
         "trace artifact for '{}' holds {} records but this run plans for {} \
          ({} consumed + read-ahead margin); the trace store must freeze \
          TracePlan::frozen_len",
@@ -448,144 +391,19 @@ pub(crate) fn replay_with_tail<'a>(
     }
 }
 
-/// The shared experiment body: both arms of [`run_experiment_with_source`]
-/// monomorphize through here, so replay pays no dynamic dispatch on the
-/// per-record path.
+/// Runs one experiment: `design` at nominal `cache_bytes` (scaled per
+/// `cfg`) over `spec` (footprint scaled likewise), generating the trace
+/// live — a [`CellSim`] over a zero-record artifact, run to completion.
 ///
-/// `Ideal` and `NoCache` additionally run on **concrete** cache types
-/// rather than `Box<dyn DramCacheModel>`: their access paths are a few
-/// tens of nanoseconds, so devirtualizing (and letting the access inline
-/// into the dispatch loop) is a measurable win — and it is exactly these
-/// cheap designs whose campaigns are trace-generation-bound. The heavy
-/// designs keep the boxed path, where one indirect call is noise.
-fn drive<I: Iterator<Item = TraceRecord>>(
+/// The returned [`RunResult`] reports the *nominal* cache size.
+pub fn run_experiment(
     design: Design,
     cache_bytes: u64,
     spec: &WorkloadSpec,
     cfg: &SimConfig,
-    trace: I,
-    total: u64,
 ) -> RunResult {
-    let scaled_cache = cfg.scaled_cache_bytes(cache_bytes);
-    match design {
-        Design::Ideal => drive_cache(
-            IdealCache::new(scaled_cache),
-            design,
-            cache_bytes,
-            spec,
-            cfg,
-            trace,
-            total,
-        ),
-        Design::NoCache => {
-            drive_cache(NoCache::new(), design, cache_bytes, spec, cfg, trace, total)
-        }
-        _ => drive_cache(
-            design.build_scaled(scaled_cache, cache_bytes.max(1), &cfg.system),
-            design,
-            cache_bytes,
-            spec,
-            cfg,
-            trace,
-            total,
-        ),
-    }
-}
-
-fn drive_cache<C: DramCacheModel, I: Iterator<Item = TraceRecord>>(
-    cache: C,
-    design: Design,
-    cache_bytes: u64,
-    spec: &WorkloadSpec,
-    cfg: &SimConfig,
-    mut trace: I,
-    total: u64,
-) -> RunResult {
-    let mut sys = System::new(
-        cfg.system.resolved_cores(spec) as usize,
-        cache,
-        cfg.system.mem_ports(),
-        cfg.system.core,
-    );
-
-    let warmup = (total as f64 * cfg.warmup_fraction) as u64;
-    let warmed = sys.run(&mut trace, warmup);
-    // Both live generation and artifact replay present effectively
-    // infinite streams (replay chains into lazy generation past the
-    // frozen margin), so both phases must always run to their full
-    // budget; a shortfall means a genuinely finite source, which would
-    // otherwise *silently* skew the measurement.
-    assert_eq!(
-        warmed, warmup,
-        "trace for '{}' ran dry during warmup ({warmed} of {warmup} records)",
-        spec.name,
-    );
-    let before = sys.progress();
-    sys.reset_measurement();
-    let measured = sys.run(&mut trace, total - warmup);
-    assert_eq!(
-        measured,
-        total - warmup,
-        "trace for '{}' ran dry during measurement",
-        spec.name,
-    );
-    let after = sys.progress();
-
-    let instructions = after.instructions - before.instructions;
-    let elapsed_ps = after.elapsed_ps.saturating_sub(before.elapsed_ps).max(1);
-    // UIPC at 3 GHz: instructions / cycles, cycles = ps * 3 / 1000.
-    let cycles = (elapsed_ps * 3) as f64 / 1000.0;
-    let (cache, mem) = sys.into_parts();
-
-    RunResult {
-        design: design.name(),
-        workload: spec.name.to_string(),
-        cache_bytes,
-        measured_accesses: measured,
-        instructions,
-        elapsed_ps,
-        uipc: instructions as f64 / cycles,
-        cache: *cache.stats(),
-        stacked: *mem.stacked.stats(),
-        offchip: *mem.offchip.stats(),
-        stacked_energy: *mem.stacked.energy(),
-        offchip_energy: *mem.offchip.energy(),
-    }
-}
-
-/// A value paired with the wall time producing it took, in nanoseconds.
-///
-/// The run-level timing hook: callers that account simulation cost
-/// (campaign telemetry, `bench-report`) get the measurement taken
-/// immediately around the simulation itself, under whatever clock they
-/// inject — timing never enters [`RunResult`], whose serialized form is
-/// pinned by golden fixtures and bit-identity guarantees.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Timed<T> {
-    /// The computed value.
-    pub value: T,
-    /// Wall time spent computing it.
-    pub wall_ns: u64,
-}
-
-/// [`run_experiment_with_source`] timed under an injected clock:
-/// `now_ns` is sampled immediately before and after the simulation
-/// (any monotonic nanosecond source — the harness passes its campaign
-/// clock, tests a deterministic counter).
-pub fn run_experiment_timed_with_source(
-    design: Design,
-    cache_bytes: u64,
-    spec: &WorkloadSpec,
-    cfg: &SimConfig,
-    source: TraceSource<'_>,
-    now_ns: &dyn Fn() -> u64,
-) -> Timed<RunResult> {
-    let start = now_ns();
-    let value = run_experiment_with_source(design, cache_bytes, spec, cfg, source);
-    Timed {
-        value,
-        wall_ns: now_ns().saturating_sub(start),
-    }
+    let live = cfg.trace_plan(spec, cache_bytes).live(cfg.seed);
+    CellSim::new(design, cache_bytes, spec, cfg, &live).finish()
 }
 
 /// A design's result paired with its speedup over the no-cache baseline.
@@ -597,31 +415,9 @@ pub struct SpeedupResult {
     pub speedup: f64,
 }
 
-/// Runs the NoCache baseline for `(spec, cfg)` — the denominator of
-/// every speedup. A baseline depends only on the workload, seed, and
-/// simulation scale, so campaigns should run this **once** per
-/// `(workload, seed)` and share it (see `unison_harness::BaselineStore`);
-/// this function is the single place the baseline is defined.
-pub fn run_baseline(spec: &WorkloadSpec, cfg: &SimConfig) -> RunResult {
-    run_experiment(Design::NoCache, 0, spec, cfg)
-}
-
-/// Runs `design` and computes its speedup against a **precomputed**
-/// baseline (from [`run_baseline`], typically memoized by the harness's
-/// baseline store). Sweeping N designs against one baseline costs N
-/// simulations, not 2N.
-pub fn run_speedup_with_baseline(
-    design: Design,
-    cache_bytes: u64,
-    spec: &WorkloadSpec,
-    cfg: &SimConfig,
-    baseline: &RunResult,
-) -> SpeedupResult {
-    run_speedup_with_baseline_source(design, cache_bytes, spec, cfg, baseline, TraceSource::Live)
-}
-
-/// [`run_speedup_with_baseline`] with an explicit [`TraceSource`] — the
-/// entry point campaigns use to replay a shared frozen trace.
+/// Asserts `baseline` is usable as a speedup denominator — the single
+/// definition of "degenerate baseline" shared by [`run_speedup`] and
+/// campaign cells.
 ///
 /// # Panics
 ///
@@ -630,32 +426,6 @@ pub fn run_speedup_with_baseline(
 /// `inf`/`NaN` and poison downstream geomeans. A NoCache run that retires
 /// no instructions indicates a broken trace or configuration and must be
 /// surfaced, not averaged away.
-pub fn run_speedup_with_baseline_source(
-    design: Design,
-    cache_bytes: u64,
-    spec: &WorkloadSpec,
-    cfg: &SimConfig,
-    baseline: &RunResult,
-    source: TraceSource<'_>,
-) -> SpeedupResult {
-    check_baseline(baseline);
-    let run = run_experiment_with_source(design, cache_bytes, spec, cfg, source);
-    SpeedupResult {
-        speedup: run.uipc / baseline.uipc,
-        run,
-    }
-}
-
-/// Asserts `baseline` is usable as a speedup denominator — the single
-/// definition of "degenerate baseline" shared by
-/// [`run_speedup_with_baseline_source`] and the batched
-/// [`crate::CellSim`] path.
-///
-/// # Panics
-///
-/// Panics if `baseline.uipc` is zero, negative, or non-finite: dividing
-/// by a degenerate baseline would silently turn every speedup into
-/// `inf`/`NaN` and poison downstream geomeans.
 pub fn check_baseline(baseline: &RunResult) {
     assert!(
         baseline.uipc.is_finite() && baseline.uipc > 0.0,
@@ -670,25 +440,39 @@ pub fn check_baseline(baseline: &RunResult) {
 /// and returns the speedup.
 ///
 /// Convenience for one-off comparisons: each call re-simulates the
-/// baseline. Sweeps over multiple designs or sizes should compute the
-/// baseline once with [`run_baseline`] and use
-/// [`run_speedup_with_baseline`] (or drive the whole grid through
-/// `unison_harness::Campaign::run_speedups`, which memoizes baselines
-/// across the campaign).
+/// baseline. Sweeps over multiple designs or sizes should drive the grid
+/// through `unison_harness::Campaign::run_speedups`, which simulates one
+/// baseline per `(workload, system, seed)` and shares it.
 pub fn run_speedup(
     design: Design,
     cache_bytes: u64,
     spec: &WorkloadSpec,
     cfg: &SimConfig,
 ) -> SpeedupResult {
-    let base = run_baseline(spec, cfg);
-    run_speedup_with_baseline(design, cache_bytes, spec, cfg, &base)
+    let base = run_experiment(Design::NoCache, 0, spec, cfg);
+    check_baseline(&base);
+    let run = run_experiment(design, cache_bytes, spec, cfg);
+    SpeedupResult {
+        speedup: run.uipc / base.uipc,
+        run,
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use unison_trace::workloads;
+
+    /// One replayed run of `design` over `artifact`, to completion.
+    fn replayed(
+        design: Design,
+        size: u64,
+        w: &WorkloadSpec,
+        cfg: &SimConfig,
+        artifact: &TraceArtifact,
+    ) -> RunResult {
+        CellSim::new(design, size, w, cfg, artifact).finish()
+    }
 
     #[test]
     fn design_names_are_stable() {
@@ -715,43 +499,13 @@ mod tests {
     }
 
     #[test]
-    fn timed_run_measures_under_the_injected_clock_without_changing_results() {
-        use std::cell::Cell;
-        let cfg = SimConfig::quick_test();
-        let spec = workloads::web_search();
-        // A deterministic clock: each sample advances 1 ms.
-        let ticks = Cell::new(0u64);
-        let now = || {
-            let t = ticks.get();
-            ticks.set(t + 1_000_000);
-            t
-        };
-        let timed = run_experiment_timed_with_source(
-            Design::Ideal,
-            256 << 20,
-            &spec,
-            &cfg,
-            TraceSource::Live,
-            &now,
-        );
-        assert_eq!(timed.wall_ns, 1_000_000, "exactly two clock samples");
-        let plain =
-            run_experiment_with_source(Design::Ideal, 256 << 20, &spec, &cfg, TraceSource::Live);
-        assert_eq!(
-            serde_json::to_string(&timed.value).unwrap(),
-            serde_json::to_string(&plain).unwrap(),
-            "timing must never perturb the simulation result"
-        );
-    }
-
-    #[test]
-    fn precomputed_baseline_gives_same_speedup() {
+    fn speedup_divides_by_the_nocache_run() {
         let cfg = SimConfig::quick_test();
         let w = workloads::data_serving();
-        let base = run_baseline(&w, &cfg);
-        let with = run_speedup_with_baseline(Design::Ideal, 1 << 30, &w, &cfg, &base);
-        let without = run_speedup(Design::Ideal, 1 << 30, &w, &cfg);
-        assert!((with.speedup - without.speedup).abs() < 1e-12);
+        let base = run_experiment(Design::NoCache, 0, &w, &cfg);
+        let ideal = run_experiment(Design::Ideal, 1 << 30, &w, &cfg);
+        let s = run_speedup(Design::Ideal, 1 << 30, &w, &cfg);
+        assert_eq!(s.speedup.to_bits(), (ideal.uipc / base.uipc).to_bits());
     }
 
     #[test]
@@ -820,28 +574,12 @@ mod tests {
         // Freeze the bare minimum the assert allows; the boundary drop
         // then forces the chained generator tail into play for the last
         // records of the measurement phase on some designs.
-        let minimal =
-            unison_trace::TraceArtifact::freeze(&plan.scaled_spec, cfg.seed, plan.frozen_len);
+        let minimal = TraceArtifact::freeze(&plan.scaled_spec, cfg.seed, plan.frozen_len);
         // And a comfortably oversized one that never needs the tail.
-        let oversized = unison_trace::TraceArtifact::freeze(
-            &plan.scaled_spec,
-            cfg.seed,
-            plan.frozen_len + 100_000,
-        );
-        let a = run_experiment_with_source(
-            Design::Alloy,
-            size,
-            &w,
-            &cfg,
-            TraceSource::Replay(&minimal),
-        );
-        let b = run_experiment_with_source(
-            Design::Alloy,
-            size,
-            &w,
-            &cfg,
-            TraceSource::Replay(&oversized),
-        );
+        let oversized =
+            TraceArtifact::freeze(&plan.scaled_spec, cfg.seed, plan.frozen_len + 100_000);
+        let a = replayed(Design::Alloy, size, &w, &cfg, &minimal);
+        let b = replayed(Design::Alloy, size, &w, &cfg, &oversized);
         assert_eq!(
             serde_json::to_string(&a).unwrap(),
             serde_json::to_string(&b).unwrap(),
@@ -855,17 +593,10 @@ mod tests {
         let w = workloads::web_serving();
         let size = 128 << 20;
         let plan = cfg.trace_plan(&w, size);
-        let artifact =
-            unison_trace::TraceArtifact::freeze(&plan.scaled_spec, cfg.seed, plan.frozen_len);
+        let artifact = TraceArtifact::freeze(&plan.scaled_spec, cfg.seed, plan.frozen_len);
 
         let live = run_experiment(Design::Unison, size, &w, &cfg);
-        let replayed = run_experiment_with_source(
-            Design::Unison,
-            size,
-            &w,
-            &cfg,
-            TraceSource::Replay(&artifact),
-        );
+        let replayed = replayed(Design::Unison, size, &w, &cfg, &artifact);
         assert_eq!(
             serde_json::to_string(&live).unwrap(),
             serde_json::to_string(&replayed).unwrap(),
@@ -879,15 +610,18 @@ mod tests {
         let cfg = SimConfig::quick_test();
         let w = workloads::web_serving();
         let plan = cfg.trace_plan(&w, 128 << 20);
-        let wrong_seed =
-            unison_trace::TraceArtifact::freeze(&plan.scaled_spec, cfg.seed + 1, plan.frozen_len);
-        let _ = run_experiment_with_source(
-            Design::Unison,
-            128 << 20,
-            &w,
-            &cfg,
-            TraceSource::Replay(&wrong_seed),
-        );
+        let wrong_seed = TraceArtifact::freeze(&plan.scaled_spec, cfg.seed + 1, plan.frozen_len);
+        let _ = replayed(Design::Unison, 128 << 20, &w, &cfg, &wrong_seed);
+    }
+
+    #[test]
+    #[should_panic(expected = "different (scaled spec, seed)")]
+    fn live_rejects_wrong_seed() {
+        let cfg = SimConfig::quick_test();
+        let w = workloads::web_serving();
+        let plan = cfg.trace_plan(&w, 128 << 20);
+        let wrong_seed = plan.live(cfg.seed + 1);
+        let _ = CellSim::new(Design::Unison, 128 << 20, &w, &cfg, &wrong_seed);
     }
 
     #[test]
@@ -896,34 +630,25 @@ mod tests {
         let cfg = SimConfig::quick_test();
         let w = workloads::web_serving();
         let plan = cfg.trace_plan(&w, 128 << 20);
-        let short =
-            unison_trace::TraceArtifact::freeze(&plan.scaled_spec, cfg.seed, plan.total / 2);
-        let _ = run_experiment_with_source(
-            Design::Unison,
-            128 << 20,
-            &w,
-            &cfg,
-            TraceSource::Replay(&short),
-        );
+        let short = TraceArtifact::freeze(&plan.scaled_spec, cfg.seed, plan.total / 2);
+        let _ = replayed(Design::Unison, 128 << 20, &w, &cfg, &short);
     }
 
     #[test]
     #[should_panic(expected = "degenerate NoCache baseline")]
     fn zero_uipc_baseline_is_rejected() {
         let cfg = SimConfig::quick_test();
-        let w = workloads::data_serving();
-        let mut baseline = run_baseline(&w, &cfg);
+        let mut baseline = run_experiment(Design::NoCache, 0, &workloads::data_serving(), &cfg);
         baseline.uipc = 0.0;
-        let _ = run_speedup_with_baseline(Design::Ideal, 1 << 30, &w, &cfg, &baseline);
+        check_baseline(&baseline);
     }
 
     #[test]
     #[should_panic(expected = "degenerate NoCache baseline")]
     fn non_finite_baseline_is_rejected() {
         let cfg = SimConfig::quick_test();
-        let w = workloads::data_serving();
-        let mut baseline = run_baseline(&w, &cfg);
+        let mut baseline = run_experiment(Design::NoCache, 0, &workloads::data_serving(), &cfg);
         baseline.uipc = f64::NAN;
-        let _ = run_speedup_with_baseline(Design::Ideal, 1 << 30, &w, &cfg, &baseline);
+        check_baseline(&baseline);
     }
 }

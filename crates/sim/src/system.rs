@@ -44,7 +44,7 @@ pub struct Progress {
 /// breaking). Pinned by `session_stepping_matches_single_run`.
 ///
 /// Sessions are deliberately *not* reusable across phases: the
-/// warmup/measurement boundary of `drive_cache` drops whatever records
+/// warmup/measurement boundary of [`crate::CellSim`] drops whatever records
 /// are buffered (see [`System::run`] on minimal refill), which a fresh
 /// session reproduces and a carried-over one would not.
 #[derive(Debug, Default)]

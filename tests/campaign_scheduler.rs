@@ -18,7 +18,7 @@ use std::time::{Duration, Instant};
 
 use unison_repro::harness::fault::{FAULT_ENV, FAULT_ONCE_ENV};
 use unison_repro::harness::{
-    merge_shards, orchestrator, BalancedExecutor, Campaign, CellKey, CellResult, CostModel,
+    merge_shards, orchestrator, Assignment, Campaign, CellKey, CellResult, CostModel,
     OrchestratorConfig, ScenarioGrid, ShardOutput, ShardSpec, TaskPlan, WorkerLaunch,
 };
 use unison_repro::sim::{Design, Scenario, SimConfig, SystemSpec};
@@ -281,7 +281,7 @@ fn subprocess_worker_entry() {
         let plan = TaskPlan::lower(&tiny(), &grid(), true);
         let bins = model.partition(&plan, tiny().accesses, shard.count);
         let bin = bins[shard.index as usize].clone();
-        campaign.run_plan(&grid(), true, &BalancedExecutor::new(shard, bin))
+        campaign.run_plan(&grid(), true, &Assignment::Explicit(shard, bin))
     } else {
         campaign.run_shard_speedups(&grid(), shard)
     };

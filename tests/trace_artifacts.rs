@@ -12,9 +12,7 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
 use unison_repro::harness::{Campaign, ScenarioGrid, TracePolicy, TraceStore};
-use unison_repro::sim::{
-    run_experiment, run_experiment_with_source, Design, SimConfig, TraceSource,
-};
+use unison_repro::sim::{run_experiment, CellSim, Design, SimConfig};
 use unison_repro::trace::{workloads, TraceArtifact};
 
 thread_local! {
@@ -101,13 +99,7 @@ fn experiment_over_replay_equals_live_generation() {
     let artifact = TraceArtifact::freeze(&plan.scaled_spec, cfg.seed, plan.frozen_len);
 
     let live = run_experiment(Design::Footprint, size, &w, &cfg);
-    let replayed = run_experiment_with_source(
-        Design::Footprint,
-        size,
-        &w,
-        &cfg,
-        TraceSource::Replay(&artifact),
-    );
+    let replayed = CellSim::new(Design::Footprint, size, &w, &cfg, &artifact).finish();
     assert_eq!(
         serde_json::to_string(&live).unwrap(),
         serde_json::to_string(&replayed).unwrap(),
